@@ -220,17 +220,27 @@ impl From<String> for Json {
 
 fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
     f.write_str("\"")?;
-    for c in s.chars() {
-        match c {
-            '"' => f.write_str("\\\"")?,
-            '\\' => f.write_str("\\\\")?,
-            '\n' => f.write_str("\\n")?,
-            '\r' => f.write_str("\\r")?,
-            '\t' => f.write_str("\\t")?,
-            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-            c => write!(f, "{}", c)?,
+    // Copy each run of plain bytes with one write. Every byte that needs an
+    // escape is ASCII, so run boundaries always fall on char boundaries.
+    let mut run_start = 0;
+    for (i, byte) in s.bytes().enumerate() {
+        let escape = match byte {
+            b'"' => Some("\\\""),
+            b'\\' => Some("\\\\"),
+            b'\n' => Some("\\n"),
+            b'\r' => Some("\\r"),
+            b'\t' => Some("\\t"),
+            0..=0x1f => None,
+            _ => continue,
+        };
+        f.write_str(&s[run_start..i])?;
+        match escape {
+            Some(escape) => f.write_str(escape)?,
+            None => write!(f, "\\u{:04x}", byte)?,
         }
+        run_start = i + 1;
     }
+    f.write_str(&s[run_start..])?;
     f.write_str("\"")
 }
 
@@ -255,11 +265,12 @@ impl fmt::Display for Json {
                 }
                 // Rust's shortest round-trip formatting; force a decimal
                 // point so the token re-parses as a float, not an integer.
-                let s = format!("{}", x);
-                if s.contains(['.', 'e', 'E']) {
-                    f.write_str(&s)
+                // `Display` for `f64` never writes an exponent, and writes a
+                // fractional part exactly when the value has one.
+                if x.fract() == 0.0 {
+                    write!(f, "{}.0", x)
                 } else {
-                    write!(f, "{}.0", s)
+                    write!(f, "{}", x)
                 }
             }
             Json::Str(s) => write_escaped(f, s),
@@ -544,6 +555,44 @@ mod tests {
         }
         // Whole floats keep their decimal point, so the type survives.
         assert_eq!(Json::Float(4.0).to_string(), "4.0");
+    }
+
+    #[test]
+    fn writer_matches_the_per_character_reference() {
+        // The writer copies plain runs whole and formats floats without a
+        // temporary string; its bytes must equal the straightforward rules.
+        fn escaped(s: &str) -> String {
+            let mut out = String::from("\"");
+            for c in s.chars() {
+                match c {
+                    '"' => out.push_str("\\\""),
+                    '\\' => out.push_str("\\\\"),
+                    '\n' => out.push_str("\\n"),
+                    '\r' => out.push_str("\\r"),
+                    '\t' => out.push_str("\\t"),
+                    c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                    c => out.push(c),
+                }
+            }
+            out + "\""
+        }
+        for s in ["", "plain", "\"", "a\\b", "\u{0}\u{1f}\u{7f}", "ü\"語\n🦀\t", "end\\"] {
+            assert_eq!(Json::from(s).to_string(), escaped(s), "{s:?}");
+        }
+        let mut bits = 0x9E37_79B9_7F4A_7C15u64;
+        let mut floats = vec![0.0, -0.0, 4.0, -7.0, 0.5, 1e22, 1e300, 5e-324, f64::MAX, 2e-9];
+        for _ in 0..2000 {
+            bits ^= bits << 13;
+            bits ^= bits >> 7;
+            bits ^= bits << 17;
+            floats.push(f64::from_bits(bits));
+        }
+        for x in floats.into_iter().filter(|x| x.is_finite()) {
+            let shortest = format!("{x}");
+            let reference =
+                if shortest.contains(['.', 'e', 'E']) { shortest } else { shortest + ".0" };
+            assert_eq!(Json::Float(x).to_string(), reference, "{x:e}");
+        }
     }
 
     #[test]

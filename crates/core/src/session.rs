@@ -88,7 +88,7 @@ use entropy::{EntropyOracle, OracleStats, PliEntropyOracle};
 use obs::{Span, Stage, StageCollector};
 use relation::{AppendSummary, AttrSet, Relation};
 use std::collections::BTreeMap;
-use std::sync::{Arc, Condvar, Mutex, RwLock};
+use std::sync::{Arc, Condvar, Mutex, OnceLock, RwLock};
 use std::time::{Duration, Instant};
 use storage::RelationBackend;
 
@@ -353,6 +353,23 @@ impl<T> ArtifactCache<T> {
     }
 }
 
+/// A stage-three artifact: the pipeline result plus its compact wire text,
+/// rendered on first request. The text lives and dies with the cached
+/// result — [`ArtifactCache::prune_below`] and [`ArtifactCache::clear`] drop
+/// both — so it can never outlive the data version it describes. Library
+/// callers that never ask for the text never pay for it.
+struct QualityArtifact {
+    result: Arc<MaimonResult>,
+    wire: OnceLock<Arc<str>>,
+}
+
+impl QualityArtifact {
+    /// `result.to_json().to_string()`, rendered at most once.
+    fn wire(&self) -> Arc<str> {
+        Arc::clone(self.wire.get_or_init(|| self.result.to_json().to_string().into()))
+    }
+}
+
 /// One immutable generation of the session's data: the storage backend at a
 /// given data version and the oracle built over exactly that version.
 /// Appends install a *new* `Arc<VersionState>`; requests that already
@@ -410,7 +427,7 @@ struct SessionInner {
     construction_stats: OracleStats,
     mvd_cache: ArtifactCache<MvdMiningResult>,
     schema_cache: ArtifactCache<SchemaMiningResult>,
-    result_cache: ArtifactCache<MaimonResult>,
+    result_cache: ArtifactCache<QualityArtifact>,
 }
 
 /// A reusable mining session over one relation instance.
@@ -896,16 +913,42 @@ impl MaimonSession {
         Ok((state.version, self.quality_at(&state, epsilon)?))
     }
 
+    /// [`MaimonSession::quality_stamped`] plus the result's compact wire
+    /// text, byte for byte `result.to_json().to_string()`. A serving layer
+    /// can splice the text into its response instead of rebuilding the
+    /// result's JSON tree on every cache hit: the text is rendered on the
+    /// first request for a cached artifact and kept with it. Truncated
+    /// partials are never cached, so their text is rendered per call.
+    ///
+    /// # Errors
+    /// The errors of [`MaimonSession::quality`].
+    pub fn quality_wire(
+        &self,
+        epsilon: f64,
+    ) -> Result<(u64, Arc<MaimonResult>, Arc<str>), MaimonError> {
+        let state = self.state();
+        let artifact = self.quality_artifact_at(&state, epsilon)?;
+        Ok((state.version, Arc::clone(&artifact.result), artifact.wire()))
+    }
+
     fn quality_at(
         &self,
         state: &Arc<VersionState>,
         epsilon: f64,
     ) -> Result<Arc<MaimonResult>, MaimonError> {
+        Ok(Arc::clone(&self.quality_artifact_at(state, epsilon)?.result))
+    }
+
+    fn quality_artifact_at(
+        &self,
+        state: &Arc<VersionState>,
+        epsilon: f64,
+    ) -> Result<Arc<QualityArtifact>, MaimonError> {
         self.check_epsilon(epsilon)?;
         self.inner.result_cache.get_or_compute(
             (state.version, eps_key(epsilon)),
             &self.control(),
-            |result| result.truncated,
+            |artifact| artifact.result.truncated,
             || {
                 let relation = state.require_relation("quality evaluation")?;
                 let mvds = self.mvds_at(state, epsilon)?;
@@ -937,12 +980,13 @@ impl MaimonSession {
                 mvds_with_stages.stats.stages.absorb(&schemas_raw.stages);
                 mvds_with_stages.stats.stages.absorb(&measure.breakdown());
                 state.check_storage()?;
-                Ok(Arc::new(MaimonResult {
+                let result = MaimonResult {
                     truncated: mvds.stats.truncated || schemas_raw.truncated,
                     mvds: mvds_with_stages,
                     pareto,
                     schemas,
-                }))
+                };
+                Ok(Arc::new(QualityArtifact { result: Arc::new(result), wire: OnceLock::new() }))
             },
         )
     }
@@ -994,7 +1038,8 @@ impl MaimonSession {
                 let result = self.quality_at(&state, epsilon)?;
                 let prior = state
                     .previous_version
-                    .and_then(|v| self.inner.result_cache.peek((v, eps_key(epsilon))));
+                    .and_then(|v| self.inner.result_cache.peek((v, eps_key(epsilon))))
+                    .map(|artifact| Arc::clone(&artifact.result));
                 let (previous_version, survived, revalidation) = match prior {
                     Some(prior) => {
                         let mut still_holding = 0usize;
@@ -1245,6 +1290,40 @@ mod tests {
         assert!(result.mvds.mvds.is_empty());
         // The partial stayed private: nothing was latched into the cache.
         assert!(session.cached_epsilons().is_empty());
+    }
+
+    #[test]
+    fn wire_text_is_rendered_once_per_cached_artifact() {
+        let rel = running_example(false);
+        let session = MaimonSession::new(&rel, MaimonConfig::default()).unwrap();
+        let (version, result, text) = session.quality_wire(0.1).unwrap();
+        assert_eq!(&*text, result.to_json().to_string());
+        assert!(Arc::ptr_eq(&result, &session.quality(0.1).unwrap()));
+        let (_, _, again) = session.quality_wire(0.1).unwrap();
+        assert!(Arc::ptr_eq(&text, &again), "a cache hit reuses the rendered text");
+
+        // The text goes with its artifact: cleared artifacts re-render…
+        session.clear_artifacts();
+        let (_, remined, cleared) = session.quality_wire(0.1).unwrap();
+        assert!(!Arc::ptr_eq(&text, &cleared));
+        assert_eq!(&*cleared, remined.to_json().to_string());
+        // …and an append never serves the old version's text.
+        session.append_rows(&[vec!["a1", "b2", "c1", "d2", "e2", "f1"]]).unwrap();
+        let (next, appended, fresh) = session.quality_wire(0.1).unwrap();
+        assert_eq!(next, version + 1);
+        assert_eq!(&*fresh, appended.to_json().to_string());
+        assert!(!Arc::ptr_eq(&cleared, &fresh));
+
+        // Truncated partials are rendered per call and never cached.
+        let token = CancelToken::new();
+        token.cancel();
+        let cancelled = session.clone().with_cancel(token);
+        let (_, partial, first) = cancelled.quality_wire(0.3).unwrap();
+        let (_, _, second) = cancelled.quality_wire(0.3).unwrap();
+        assert!(partial.truncated);
+        assert_eq!(&*first, partial.to_json().to_string());
+        assert!(!Arc::ptr_eq(&first, &second));
+        assert!(!session.cached_epsilons().contains(&0.3));
     }
 
     #[test]

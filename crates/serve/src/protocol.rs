@@ -280,9 +280,62 @@ pub fn error_response(kind: ErrorKind, message: impl Into<String>) -> Json {
     ])
 }
 
+/// Renders one response line, newline included: `envelope`'s fields, then a
+/// `result` field holding already-rendered JSON text, then `trace_id`. The
+/// bytes are exactly those of `envelope` with the two fields pushed onto it,
+/// so a `mine` can splice its session's cached result text instead of
+/// rebuilding the result's JSON tree for every response.
+pub(crate) fn response_line(
+    envelope: &Json,
+    result: Option<&str>,
+    trace_id: Option<&str>,
+) -> String {
+    use std::fmt::Write;
+    let mut line = String::with_capacity(result.map_or(0, str::len) + 256);
+    let _ = write!(line, "{envelope}");
+    let closing = line.pop();
+    debug_assert_eq!(closing, Some('}'), "response envelopes are JSON objects");
+    let mut field = |key: &str, value: &dyn std::fmt::Display| {
+        if !line.ends_with('{') {
+            line.push(',');
+        }
+        let _ = write!(line, "\"{key}\":{value}");
+    };
+    if let Some(result) = result {
+        field("result", &result);
+    }
+    if let Some(trace_id) = trace_id {
+        field("trace_id", &Json::from(trace_id));
+    }
+    line.push_str("}\n");
+    line
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn response_lines_match_the_envelope_with_fields_pushed() {
+        let result = Json::object([("schemas", Json::array([Json::from("A\"B\n")]))]);
+        let envelope = ok_response("mine", [("epsilon", Json::from(0.1))]);
+        let mut expected = envelope.clone();
+        if let Json::Object(fields) = &mut expected {
+            fields.push(("result".into(), result.clone()));
+            fields.push(("trace_id".into(), Json::from("t\"1")));
+        }
+        let line = response_line(&envelope, Some(&result.to_string()), Some("t\"1"));
+        assert_eq!(line, format!("{expected}\n"));
+
+        // Without extra fields the envelope is written as is.
+        let shed = error_response(ErrorKind::Overloaded, "busy");
+        assert_eq!(response_line(&shed, None, None), format!("{shed}\n"));
+        // An empty envelope takes its first field without a leading comma.
+        assert_eq!(
+            response_line(&Json::object(Vec::<(String, Json)>::new()), None, Some("x")),
+            "{\"trace_id\":\"x\"}\n"
+        );
+    }
 
     #[test]
     fn requests_round_trip() {

@@ -12,7 +12,7 @@
 //! broken pipes.
 
 use crate::admission::{AdmissionConfig, AdmissionController, AdmissionStats};
-use crate::protocol::{error_response, ok_response, ErrorKind, Request};
+use crate::protocol::{error_response, ok_response, response_line, ErrorKind, Request};
 use crate::registry::DatasetRegistry;
 use maimon::json::Json;
 use maimon::obs::{self, MetricValue, StageCollector};
@@ -172,6 +172,9 @@ fn accept_loop(
     while !shared.shutdown.is_cancelled() {
         match listener.accept() {
             Ok((stream, _peer)) => {
+                // Every response leaves as one write; without NODELAY its
+                // tail would wait for the client's delayed ACK (~40 ms).
+                let _ = stream.set_nodelay(true);
                 let mut pending =
                     queue.pending.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
                 if pending.len() >= max_queue_depth {
@@ -194,8 +197,7 @@ fn accept_loop(
 /// Tells an over-queue client it was shed, without occupying a worker.
 fn shed_connection(mut stream: TcpStream) {
     let response = error_response(ErrorKind::Overloaded, "connection queue is full; retry later");
-    let _ = writeln!(stream, "{}", response);
-    let _ = stream.flush();
+    let _ = write_line(&mut stream, &response_line(&response, None, None));
     // Half-close and briefly drain: dropping the socket with unread request
     // bytes in its receive buffer sends an RST that can discard the
     // response before the client reads it. The drain is bounded, so a
@@ -252,20 +254,29 @@ fn worker_loop(shared: &Arc<Shared>, queue: &Arc<ConnQueue>) {
     }
 }
 
+/// Writes one finished response line with a single `write_all`, so the
+/// kernel sees the whole line at once instead of one write per JSON token.
+fn write_line(stream: &mut TcpStream, line: &str) -> std::io::Result<()> {
+    stream.write_all(line.as_bytes())
+}
+
 /// Serves one connection: line in, line out, until EOF, error or shutdown.
 fn handle_connection(shared: &Arc<Shared>, mut stream: TcpStream) {
     let _ = stream.set_read_timeout(Some(shared.read_timeout));
     let mut carry: Vec<u8> = Vec::new();
+    // `carry[..scanned]` holds no newline: a long line arriving over many
+    // reads is searched once, not once per read.
+    let mut scanned = 0;
     let mut chunk = [0u8; 4096];
     loop {
-        // Drain complete lines out of the carry buffer first.
-        while let Some(pos) = carry.iter().position(|&b| b == b'\n') {
-            let mut line: Vec<u8> = carry.drain(..=pos).collect();
-            line.pop(); // the newline
-            if line.last() == Some(&b'\r') {
-                line.pop();
-            }
-            let text = String::from_utf8_lossy(&line);
+        // Answer every complete line in the carry buffer, then drop them.
+        let mut line_start = 0;
+        while let Some(offset) = carry[scanned..].iter().position(|&b| b == b'\n') {
+            let line_end = scanned + offset;
+            let line = &carry[line_start..line_end];
+            scanned = line_end + 1;
+            line_start = scanned;
+            let text = String::from_utf8_lossy(line.strip_suffix(b"\r").unwrap_or(line));
             if text.trim().is_empty() {
                 continue;
             }
@@ -275,10 +286,12 @@ fn handle_connection(shared: &Arc<Shared>, mut stream: TcpStream) {
                 // written, as a crashed peer or a cut network would.
                 return;
             }
-            if writeln!(stream, "{}", response).and_then(|()| stream.flush()).is_err() {
+            if write_line(&mut stream, &response).is_err() {
                 return;
             }
         }
+        carry.drain(..line_start);
+        scanned = carry.len();
         if shared.shutdown.is_cancelled() {
             return;
         }
@@ -310,22 +323,30 @@ fn slow_threshold() -> Option<Duration> {
     })
 }
 
-/// Appends the request's trace ID to a response envelope.
-fn with_trace(mut response: Json, trace_id: &str) -> Json {
-    if let Json::Object(fields) = &mut response {
-        fields.push(("trace_id".to_string(), Json::from(trace_id)));
-    }
-    response
+/// A handler's answer: the response envelope and, for an in-memory `mine`,
+/// the result's wire text, which the session renders once per cached
+/// artifact and [`response_line`] splices in after the envelope's fields.
+struct Reply {
+    envelope: Json,
+    result: Option<Arc<str>>,
 }
 
-/// Parses and executes one request line, returning the response document.
+impl From<Json> for Reply {
+    fn from(envelope: Json) -> Reply {
+        Reply { envelope, result: None }
+    }
+}
+
+/// Parses and executes one request line, returning the finished response
+/// line (newline included).
 ///
 /// Every response envelope carries a `trace_id`: the client's, echoed, when
 /// the request had a string `trace_id` field, or a server-generated one
-/// otherwise. Latency lands in the `maimon_request_duration_ns{op,tenant}`
-/// histogram; requests slower than `MAIMON_SLOW_MS` additionally emit one
-/// structured stderr line with the trace ID and the per-stage breakdown.
-fn dispatch(shared: &Arc<Shared>, line: &str) -> Json {
+/// otherwise. Latency — serialization included — lands in the
+/// `maimon_request_duration_ns{op,tenant}` histogram; requests slower than
+/// `MAIMON_SLOW_MS` additionally emit one structured stderr line with the
+/// trace ID and the per-stage breakdown.
+fn dispatch(shared: &Arc<Shared>, line: &str) -> String {
     let start = Instant::now();
     let parsed = Json::parse(line).ok();
     let trace_id = parsed
@@ -338,12 +359,14 @@ fn dispatch(shared: &Arc<Shared>, line: &str) -> Json {
         Some(Err(e)) => {
             shared.counters.errors.fetch_add(1, Ordering::Relaxed);
             note_error("bad_request");
-            return with_trace(error_response(ErrorKind::BadRequest, e.to_string()), &trace_id);
+            let response = error_response(ErrorKind::BadRequest, e.to_string());
+            return response_line(&response, None, Some(&trace_id));
         }
         None => {
             shared.counters.errors.fetch_add(1, Ordering::Relaxed);
             note_error("bad_request");
-            return with_trace(error_response(ErrorKind::BadRequest, "invalid JSON"), &trace_id);
+            let response = error_response(ErrorKind::BadRequest, "invalid JSON");
+            return response_line(&response, None, Some(&trace_id));
         }
     };
     let op = match &request {
@@ -383,19 +406,19 @@ fn dispatch(shared: &Arc<Shared>, line: &str) -> Json {
         match request {
             Request::Ping => {
                 shared.counters.ping.fetch_add(1, Ordering::Relaxed);
-                ok_response("ping", [])
+                ok_response("ping", []).into()
             }
             Request::List => {
                 shared.counters.list.fetch_add(1, Ordering::Relaxed);
-                handle_list(shared)
+                handle_list(shared).into()
             }
             Request::Stats => {
                 shared.counters.stats.fetch_add(1, Ordering::Relaxed);
-                handle_stats(shared)
+                handle_stats(shared).into()
             }
             Request::Metrics => {
                 shared.counters.metrics.fetch_add(1, Ordering::Relaxed);
-                handle_metrics()
+                handle_metrics().into()
             }
             Request::Mine { dataset, epsilon, timeout_ms, tenant } => {
                 shared.counters.mine.fetch_add(1, Ordering::Relaxed);
@@ -404,24 +427,27 @@ fn dispatch(shared: &Arc<Shared>, line: &str) -> Json {
             Request::Decompose { dataset, epsilon, timeout_ms, tenant } => {
                 shared.counters.decompose.fetch_add(1, Ordering::Relaxed);
                 handle_decompose(shared, &dataset, epsilon, timeout_ms, tenant.as_deref(), &stages)
+                    .into()
             }
             Request::Append { dataset, rows, tenant } => {
                 shared.counters.append.fetch_add(1, Ordering::Relaxed);
-                handle_append(shared, &dataset, &rows, tenant.as_deref())
+                handle_append(shared, &dataset, &rows, tenant.as_deref()).into()
             }
         }
     }));
-    let response = match outcome {
-        Ok(response) => response,
+    let reply = match outcome {
+        Ok(reply) => reply,
         Err(panic) => {
             shared.counters.errors.fetch_add(1, Ordering::Relaxed);
             note_panic(op);
-            error_response(
+            Reply::from(error_response(
                 ErrorKind::Internal,
                 format!("request handler panicked: {}", panic_message(&panic)),
-            )
+            ))
         }
     };
+    let response = &reply.envelope;
+    let line = response_line(response, reply.result.as_deref(), Some(&trace_id));
     let elapsed = start.elapsed();
     let registry = obs::global();
     registry.describe(
@@ -448,7 +474,7 @@ fn dispatch(shared: &Arc<Shared>, line: &str) -> Json {
     }
     if let Some(threshold) = slow_threshold() {
         if elapsed >= threshold {
-            let line = Json::object([
+            let event = Json::object([
                 ("event", Json::from("slow_request")),
                 ("trace_id", Json::from(trace_id.as_str())),
                 ("op", Json::from(op)),
@@ -458,10 +484,10 @@ fn dispatch(shared: &Arc<Shared>, line: &str) -> Json {
                 ("elapsed_ms", Json::from(elapsed.as_millis() as u64)),
                 ("stages", stages.breakdown().to_json()),
             ]);
-            eprintln!("{line}");
+            eprintln!("{event}");
         }
     }
-    with_trace(response, &trace_id)
+    line
 }
 
 /// Counts one contained handler panic, labeled by the operation (or
@@ -550,23 +576,24 @@ fn handle_mine(
     timeout_ms: Option<u64>,
     tenant: Option<&str>,
     stages: &Arc<StageCollector>,
-) -> Json {
+) -> Reply {
     let Some(session) = request_session(shared, dataset, timeout_ms) else {
         shared.counters.errors.fetch_add(1, Ordering::Relaxed);
-        return error_response(ErrorKind::NotFound, format!("unknown dataset {dataset:?}"));
+        return error_response(ErrorKind::NotFound, format!("unknown dataset {dataset:?}")).into();
     };
     let session = session.with_stages(Arc::clone(stages));
     let Some(_permit) = shared.admission.try_admit(tenant.unwrap_or_default()) else {
         return error_response(
             ErrorKind::Overloaded,
             format!("tenant {:?} is at its in-flight cap", tenant.unwrap_or_default()),
-        );
+        )
+        .into();
     };
     if !session.supports_quality() {
         // Out-of-core datasets stop after schema enumeration: the quality
         // pass needs random row access only the in-memory store provides.
         // Still a complete, version-stamped mining result — just schemas-only.
-        return match session.schemas_stamped(epsilon) {
+        let reply = match session.schemas_stamped(epsilon) {
             Ok((data_version, result)) => {
                 if result.truncated {
                     shared.counters.truncated.fetch_add(1, Ordering::Relaxed);
@@ -588,26 +615,27 @@ fn handle_mine(
                 error_response(ErrorKind::Internal, e.to_string())
             }
         };
+        return reply.into();
     }
-    match session.quality_stamped(epsilon) {
-        Ok((data_version, result)) => {
+    match session.quality_wire(epsilon) {
+        Ok((data_version, result, wire)) => {
             if result.truncated {
                 shared.counters.truncated.fetch_add(1, Ordering::Relaxed);
             }
-            ok_response(
+            let envelope = ok_response(
                 "mine",
                 [
                     ("dataset", Json::from(dataset)),
                     ("epsilon", Json::from(epsilon)),
                     ("data_version", Json::from(data_version)),
                     ("truncated", Json::from(result.truncated)),
-                    ("result", result.to_json()),
                 ],
-            )
+            );
+            Reply { envelope, result: Some(wire) }
         }
         Err(e) => {
             shared.counters.errors.fetch_add(1, Ordering::Relaxed);
-            error_response(ErrorKind::Internal, e.to_string())
+            error_response(ErrorKind::Internal, e.to_string()).into()
         }
     }
 }

@@ -1,40 +1,85 @@
 //! End-to-end tests of the TCP serving layer: concurrent clients get
 //! bit-identical results to direct library calls, deadlines truncate
 //! rather than error, admission control sheds with explicit responses, and
-//! the `stats` counters add up to the requests actually sent.
+//! the `stats` counters add up to the requests actually sent. Served `mine`
+//! lines are compared byte for byte against the envelope rendered from the
+//! serving session's own artifact.
 
 use maimon::json::Json;
 use maimon::relation::Relation;
-use maimon::wire::FromJson;
+use maimon::wire::{FromJson, ToJson};
 use maimon::{decompose::ReducerStats, MaimonConfig, MaimonResult, MaimonSession};
 use maimon_datasets::{dataset_by_name, running_example, running_example_with_red_tuple};
-use serve::{serve, AdmissionConfig, DatasetRegistry, ServerConfig, ServerHandle};
+use serve::{ok_response, serve, AdmissionConfig, DatasetRegistry, ServerConfig, ServerHandle};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 fn bridges() -> Relation {
     dataset_by_name("Bridges").unwrap().generate(1.0).column_prefix(8).unwrap()
 }
 
 fn start_server(admission: AdmissionConfig, datasets: &[(&str, Relation)]) -> ServerHandle {
+    start_server_with_registry(admission, datasets).0
+}
+
+/// Like [`start_server`], also handing back the registry so a test can read
+/// the serving sessions' own artifacts.
+fn start_server_with_registry(
+    admission: AdmissionConfig,
+    datasets: &[(&str, Relation)],
+) -> (ServerHandle, Arc<DatasetRegistry>) {
     let registry = Arc::new(DatasetRegistry::new());
     for (name, rel) in datasets {
         registry.register(*name, rel.clone(), MaimonConfig::default()).unwrap();
     }
     let config = ServerConfig { workers: 4, admission, ..ServerConfig::default() };
-    serve(registry, config).unwrap()
+    (serve(Arc::clone(&registry), config).unwrap(), registry)
 }
 
-/// One-shot request: connect, send one line, read one line.
-fn roundtrip(addr: SocketAddr, line: &str) -> Json {
+/// One-shot request: connect, send one line, read the raw response line
+/// (newline included).
+fn roundtrip_line(addr: SocketAddr, line: &str) -> String {
     let mut stream = TcpStream::connect(addr).unwrap();
     writeln!(stream, "{line}").unwrap();
     stream.flush().unwrap();
     let mut reader = BufReader::new(stream);
     let mut response = String::new();
     reader.read_line(&mut response).unwrap();
+    response
+}
+
+/// One-shot request, parsed.
+fn roundtrip(addr: SocketAddr, line: &str) -> Json {
+    let response = roundtrip_line(addr, line);
     Json::parse(response.trim()).unwrap_or_else(|e| panic!("bad response {response:?}: {e}"))
+}
+
+/// The exact line a `mine` must put on the wire: the success envelope around
+/// the serving session's current artifact, then the echoed trace ID.
+fn expected_mine_line(
+    registry: &DatasetRegistry,
+    dataset: &str,
+    epsilon: f64,
+    trace_id: &str,
+) -> String {
+    let session = registry.get(dataset).unwrap();
+    let (data_version, result) = session.quality_stamped(epsilon).unwrap();
+    let mut envelope = ok_response(
+        "mine",
+        [
+            ("dataset", Json::from(dataset)),
+            ("epsilon", Json::from(epsilon)),
+            ("data_version", Json::from(data_version)),
+            ("truncated", Json::from(result.truncated)),
+            ("result", result.to_json()),
+        ],
+    );
+    if let Json::Object(fields) = &mut envelope {
+        fields.push(("trace_id".into(), Json::from(trace_id)));
+    }
+    format!("{envelope}\n")
 }
 
 fn assert_ok(response: &Json, op: &str) {
@@ -78,32 +123,49 @@ fn ping_and_list_roundtrip() {
 
 #[test]
 fn concurrent_mines_match_direct_sessions_bit_for_bit() {
-    let handle = start_server(AdmissionConfig::default(), &[("bridges", bridges())]);
+    let (handle, registry) =
+        start_server_with_registry(AdmissionConfig::default(), &[("bridges", bridges())]);
     let addr = handle.local_addr();
     let epsilons = [0.0, 0.05, 0.1];
 
     // Six concurrent clients (each threshold requested twice) against the
     // one shared server session.
-    let served: Vec<(f64, MaimonResult)> = std::thread::scope(|scope| {
+    let served: Vec<(f64, String, String)> = std::thread::scope(|scope| {
         let handles: Vec<_> = epsilons
             .iter()
             .cycle()
             .take(6)
-            .map(|&epsilon| {
+            .enumerate()
+            .map(|(client, &epsilon)| {
                 scope.spawn(move || {
+                    let trace_id = format!("client-{client}");
                     let request = format!(
-                        r#"{{"op":"mine","dataset":"bridges","epsilon":{epsilon},"tenant":"t{epsilon}"}}"#
+                        r#"{{"op":"mine","dataset":"bridges","epsilon":{epsilon},"tenant":"t{epsilon}","trace_id":"{trace_id}"}}"#
                     );
-                    let response = roundtrip(addr, &request);
-                    assert_ok(&response, "mine");
-                    let result =
-                        MaimonResult::from_json(response.get("result").unwrap()).unwrap();
-                    (epsilon, result)
+                    (epsilon, trace_id, roundtrip_line(addr, &request))
                 })
             })
             .collect();
         handles.into_iter().map(|h| h.join().unwrap()).collect()
     });
+
+    // On the wire: exactly the envelope around the serving session's cached
+    // artifact, byte for byte.
+    for (epsilon, trace_id, line) in &served {
+        assert_eq!(
+            line,
+            &expected_mine_line(&registry, "bridges", *epsilon, trace_id),
+            "epsilon {epsilon}"
+        );
+    }
+    let served: Vec<(f64, MaimonResult)> = served
+        .iter()
+        .map(|(epsilon, _, line)| {
+            let response = Json::parse(line.trim()).unwrap();
+            assert_ok(&response, "mine");
+            (*epsilon, MaimonResult::from_json(response.get("result").unwrap()).unwrap())
+        })
+        .collect();
 
     // The ground truth: a direct library session over the same relation and
     // configuration.
@@ -336,12 +398,16 @@ fn stats_counters_add_up() {
 
 #[test]
 fn append_then_mine_matches_direct_library_and_never_serves_stale() {
-    let handle = start_server(AdmissionConfig::default(), &[("running", running_example())]);
+    let (handle, registry) =
+        start_server_with_registry(AdmissionConfig::default(), &[("running", running_example())]);
     let addr = handle.local_addr();
     let version = |json: &Json| json.get("data_version").and_then(Json::as_i128).unwrap();
+    let mine_request = r#"{"op":"mine","dataset":"running","epsilon":0.2,"trace_id":"m"}"#;
 
     // Mine pre-append and remember the version the result was stamped with.
-    let before = roundtrip(addr, r#"{"op":"mine","dataset":"running","epsilon":0.2}"#);
+    let before_line = roundtrip_line(addr, mine_request);
+    assert_eq!(before_line, expected_mine_line(&registry, "running", 0.2, "m"));
+    let before = Json::parse(before_line.trim()).unwrap();
     assert_ok(&before, "mine");
     let v0 = version(&before);
 
@@ -358,9 +424,29 @@ fn append_then_mine_matches_direct_library_and_never_serves_stale() {
     // Post-append mining is stamped with the new version and bit-identical
     // to a direct library session over the full 5-tuple relation — the
     // pre-append artifact is never served.
-    let after = roundtrip(addr, r#"{"op":"mine","dataset":"running","epsilon":0.2}"#);
+    let after_line = roundtrip_line(addr, mine_request);
+    assert_eq!(after_line, expected_mine_line(&registry, "running", 0.2, "m"));
+    assert_ne!(after_line, before_line, "the pre-append text must not be served");
+    let after = Json::parse(after_line.trim()).unwrap();
     assert_ok(&after, "mine");
     assert_eq!(version(&after), v0 + 1, "stale-version artifact served: {after}");
+
+    // An expired deadline's partial is rendered for its own request only:
+    // it is never cached, and the next request gets the complete result.
+    let rushed_line = roundtrip_line(
+        addr,
+        r#"{"op":"mine","dataset":"running","epsilon":0.3,"timeout_ms":0,"trace_id":"r"}"#,
+    );
+    let rushed = Json::parse(rushed_line.trim()).unwrap();
+    assert_ok(&rushed, "mine");
+    assert_eq!(rushed.get("truncated").and_then(Json::as_bool), Some(true), "{rushed}");
+    let partial = MaimonResult::from_json(rushed.get("result").unwrap()).unwrap();
+    assert!(partial.truncated);
+    assert!(!registry.get("running").unwrap().cached_epsilons().contains(&0.3));
+    let complete_line =
+        roundtrip_line(addr, r#"{"op":"mine","dataset":"running","epsilon":0.3,"trace_id":"r"}"#);
+    assert_eq!(complete_line, expected_mine_line(&registry, "running", 0.3, "r"));
+    assert_ne!(complete_line, rushed_line);
     let served = MaimonResult::from_json(after.get("result").unwrap()).unwrap();
     let direct =
         MaimonSession::new(running_example_with_red_tuple(), MaimonConfig::default()).unwrap();
@@ -391,6 +477,32 @@ fn append_then_mine_matches_direct_library_and_never_serves_stale() {
         "the append must refresh through the delta path: {stats}"
     );
 
+    handle.shutdown();
+}
+
+#[test]
+fn persistent_connection_requests_answer_without_a_nagle_stall() {
+    let handle = start_server(AdmissionConfig::default(), &[("running", running_example())]);
+    let stream = TcpStream::connect(handle.local_addr()).unwrap();
+    stream.set_nodelay(true).unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    let mut reader = BufReader::new(stream);
+
+    // A well-behaved client: one write per request line, waiting for each
+    // answer. A response split over many small writes would stall ~40 ms
+    // per request behind Nagle's algorithm and the client's delayed ACK.
+    let start = Instant::now();
+    for op in ["ping", "stats"] {
+        let request = format!("{{\"op\":\"{op}\"}}\n");
+        for _ in 0..50 {
+            writer.write_all(request.as_bytes()).unwrap();
+            let mut line = String::new();
+            reader.read_line(&mut line).unwrap();
+            assert_ok(&Json::parse(line.trim()).unwrap(), op);
+        }
+    }
+    let elapsed = start.elapsed();
+    assert!(elapsed < Duration::from_secs(1), "100 requests took {elapsed:?}");
     handle.shutdown();
 }
 

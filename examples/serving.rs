@@ -20,11 +20,13 @@ use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 
 /// One request/response exchange, the way any client in any language would
-/// do it: connect, write one JSON line, read one JSON line back.
+/// do it: connect, write one JSON line, read one JSON line back. The line
+/// goes out in a single write, newline included — a request split across
+/// writes can sit behind Nagle's algorithm on a persistent connection.
 fn roundtrip(addr: SocketAddr, line: &str) -> Result<Json, Box<dyn std::error::Error>> {
     let mut stream = TcpStream::connect(addr)?;
-    writeln!(stream, "{line}")?;
-    stream.flush()?;
+    stream.set_nodelay(true)?;
+    stream.write_all(format!("{line}\n").as_bytes())?;
     let mut response = String::new();
     BufReader::new(stream).read_line(&mut response)?;
     Ok(Json::parse(response.trim())?)
