@@ -5,9 +5,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use maimon::entropy::PliEntropyOracle;
-use maimon::{
-    get_full_mvds, mine_min_seps, Maimon, MaimonConfig, MaimonSession, MiningLimits, RunControl,
-};
+use maimon::{get_full_mvds, mine_min_seps, MaimonConfig, MaimonSession, MiningLimits, RunControl};
 use maimon_datasets::{dataset_by_name, running_example_with_red_tuple};
 use std::hint::black_box;
 use std::sync::Arc;
@@ -94,10 +92,11 @@ fn end_to_end(c: &mut Criterion) {
     group.sample_size(10);
     group.bench_function("running_example_eps_0.2", |b| {
         b.iter(|| {
-            let result = Maimon::new(&running, MaimonConfig::with_epsilon_and_threads(0.2, 1))
-                .unwrap()
-                .run()
-                .unwrap();
+            let result =
+                MaimonSession::new(&running, MaimonConfig::with_epsilon_and_threads(0.2, 1))
+                    .unwrap()
+                    .quality(0.2)
+                    .unwrap();
             black_box(result.schemas.len())
         })
     });
@@ -119,7 +118,8 @@ fn end_to_end(c: &mut Criterion) {
                 .build()
                 .unwrap();
             b.iter(|| {
-                let result = Maimon::new(&bridges, config).unwrap().run().unwrap();
+                let result =
+                    MaimonSession::new(&bridges, config).unwrap().quality(config.epsilon).unwrap();
                 black_box(result.schemas.len())
             })
         });
@@ -128,7 +128,7 @@ fn end_to_end(c: &mut Criterion) {
 }
 
 /// The ε-sweep ablation the session API exists for: mining four thresholds
-/// on bridges8 with a fresh `Maimon` (and thus a fresh PLI oracle) per ε,
+/// on bridges8 with a fresh `MaimonSession` (and thus a fresh PLI oracle) per ε,
 /// versus one `MaimonSession` sharing a single oracle across the sweep. The
 /// session is constructed inside the timed closure, so the leg measures one
 /// oracle build + four minings against four builds + four minings;
@@ -149,8 +149,8 @@ fn session_sweep(c: &mut Criterion) {
         b.iter(|| {
             let mut schemas = 0usize;
             for &epsilon in &thresholds {
-                let cfg = config.to_builder().epsilon(epsilon).build().unwrap();
-                let result = Maimon::new(&bridges, cfg).unwrap().run().unwrap();
+                let result =
+                    MaimonSession::new(&bridges, config).unwrap().quality(epsilon).unwrap();
                 schemas += result.schemas.len();
             }
             black_box(schemas)
@@ -173,8 +173,8 @@ fn session_sweep(c: &mut Criterion) {
         b.iter(|| {
             let mut schemas = 0usize;
             for &epsilon in &nursery_thresholds {
-                let cfg = config.to_builder().epsilon(epsilon).build().unwrap();
-                let result = Maimon::new(&nursery, cfg).unwrap().run().unwrap();
+                let result =
+                    MaimonSession::new(&nursery, config).unwrap().quality(epsilon).unwrap();
                 schemas += result.schemas.len();
             }
             black_box(schemas)

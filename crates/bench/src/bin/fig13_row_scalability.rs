@@ -11,7 +11,6 @@ use maimon::entropy::PliEntropyOracle;
 use maimon::json::Json;
 use maimon::storage::{ingest_csv_file, IngestOptions, PagedOptions, RelationBackend};
 use maimon::wire::ToJson;
-use maimon::Maimon;
 use maimon_datasets::{write_planted_csv, SyntheticSpec};
 use std::io::BufWriter;
 use std::sync::Arc;
@@ -65,11 +64,6 @@ fn main() {
                     ("truncated", Json::from(sweep.truncated)),
                     ("stages", sweep.stages.to_json()),
                 ]));
-                // Keep the facade exercised too (smoke check that end-to-end
-                // mining works on the smallest fraction without panicking).
-                if fraction <= 0.1 && epsilon == 0.0 {
-                    let _ = Maimon::new(&rel, config).map(|m| m.mine_mvds());
-                }
             }
         }
     }

@@ -143,6 +143,8 @@ impl MiningLimitsBuilder {
 #[non_exhaustive]
 pub struct MaimonConfig {
     /// Approximation threshold ε: MVDs and schemas with `J ≤ ε` are accepted.
+    /// [`crate::mine_mvds`] and [`crate::MaimonSession::mine_fds`] read it;
+    /// the other [`crate::MaimonSession`] stages take their threshold per call.
     pub epsilon: f64,
     /// Configuration of the PLI entropy engine (§6.3).
     pub entropy: EntropyConfig,

@@ -35,11 +35,11 @@
 //! `session.decompose_best(ε)`, with [`MaimonSession::epsilon_sweep`] mining
 //! many thresholds over the same oracle, [`CancelToken`] / deadlines /
 //! [`ProgressSink`] for service-grade control, and a stable JSON wire format
-//! ([`wire`]) for every result type. The one-shot [`Maimon`] facade remains
-//! as a thin compatibility shim:
+//! ([`wire`]) for every result type. The session is the one way into the
+//! pipeline; a one-shot run is a session asked for one threshold:
 //!
 //! ```
-//! use maimon::{Maimon, MaimonConfig};
+//! use maimon::{MaimonConfig, MaimonSession};
 //! use relation::{Relation, Schema};
 //!
 //! let schema = Schema::new(["A", "B", "C", "D", "E", "F"]).unwrap();
@@ -50,7 +50,8 @@
 //!     vec!["a1", "b2", "c1", "d2", "e3", "f1"],
 //! ]).unwrap();
 //!
-//! let result = Maimon::new(&rel, MaimonConfig::with_epsilon(0.0)).unwrap().run().unwrap();
+//! let session = MaimonSession::new(rel, MaimonConfig::default()).unwrap();
+//! let result = session.quality(0.0).unwrap();
 //! // The relation decomposes exactly into {ABD, ACD, BDE, AF} (Fig. 1 of the paper).
 //! assert!(result.schemas.iter().any(|s| {
 //!     s.discovered.schema.n_relations() == 4 && s.quality.spurious_tuples_pct == 0.0
@@ -67,7 +68,6 @@ mod fd;
 mod full_mvd;
 mod join_tree;
 pub mod json;
-mod maimon;
 mod measure;
 mod miner;
 mod minsep;
@@ -87,7 +87,6 @@ pub use error::MaimonError;
 pub use fd::{mine_fds, Fd, FdMiningResult};
 pub use full_mvd::{get_full_mvds, is_separator, FullMvdSearch};
 pub use join_tree::{is_acyclic_gyo, JoinTree};
-pub use maimon::{Maimon, MaimonResult, RankedSchema};
 pub use measure::{
     is_full_mvd, j_join_tree, j_mvd, j_partition, j_schema, mvd_holds, schema_holds,
     within_epsilon, EPSILON_TOLERANCE,
@@ -97,8 +96,8 @@ pub use minsep::{mine_min_seps, minimal_separators_bruteforce, reduce_min_sep, M
 pub use mvd::Mvd;
 pub use progress::{CancelToken, CountingSink, ProgressEvent, ProgressSink, RunControl};
 pub use quality::{
-    evaluate_schema, evaluate_schema_checked, pareto_front, spurious_tuples_pct,
-    storage_savings_pct, SchemaQuality,
+    evaluate_schema, evaluate_schema_checked, pareto_front, MaimonResult, RankedSchema,
+    SchemaQuality,
 };
 pub use schema::AcyclicSchema;
 pub use session::{DeltaRevalidation, DeltaSweepPoint, MaimonSession, SweepPoint};

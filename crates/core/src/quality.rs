@@ -12,7 +12,9 @@
 //!
 //! The pareto front over (S, E) is what Fig. 10/11 highlight for Nursery.
 
+use crate::asminer::DiscoveredSchema;
 use crate::error::MaimonError;
+use crate::miner::MvdMiningResult;
 use crate::schema::AcyclicSchema;
 use relation::{acyclic_join_size, Relation};
 
@@ -38,37 +40,28 @@ pub struct SchemaQuality {
     pub join_size: u128,
 }
 
-/// Storage savings S (percent) of decomposing `rel` by `schema`.
-///
-/// # Errors
-/// Returns an error if a projection is invalid for the relation.
-pub fn storage_savings_pct(rel: &Relation, schema: &AcyclicSchema) -> Result<f64, MaimonError> {
-    let original = (rel.distinct_count(rel.schema().all_attrs())? * rel.arity()) as u128;
-    let mut decomposed: u128 = 0;
-    for &bag in schema.bags() {
-        let count = rel.distinct_count(bag)? as u128;
-        decomposed += count * bag.len() as u128;
-    }
-    if original == 0 {
-        return Ok(0.0);
-    }
-    Ok(100.0 * (1.0 - decomposed as f64 / original as f64))
+/// A discovered schema together with its quality report.
+#[derive(Clone, Debug, PartialEq)]
+pub struct RankedSchema {
+    /// The schema, its MVD support and its J-measure.
+    pub discovered: DiscoveredSchema,
+    /// Quality metrics against the input relation.
+    pub quality: SchemaQuality,
 }
 
-/// Spurious-tuple percentage E of decomposing `rel` by `schema`.
-///
-/// # Errors
-/// Returns an error if the schema is cyclic or a projection is invalid.
-pub fn spurious_tuples_pct(rel: &Relation, schema: &AcyclicSchema) -> Result<f64, MaimonError> {
-    let tree = schema
-        .join_tree()
-        .ok_or_else(|| MaimonError::InvalidSchema("cyclic schema has no join tree".into()))?;
-    let join_size = acyclic_join_size(rel, &tree.to_spec())?;
-    let original = rel.distinct_count(rel.schema().all_attrs())? as u128;
-    if original == 0 {
-        return Ok(0.0);
-    }
-    Ok(100.0 * (join_size.saturating_sub(original)) as f64 / original as f64)
+/// The complete output of the pipeline at one threshold
+/// ([`crate::MaimonSession::quality`]).
+#[derive(Clone, Debug, PartialEq)]
+pub struct MaimonResult {
+    /// Phase-one output: the set `M_ε` plus separators and statistics.
+    pub mvds: MvdMiningResult,
+    /// Phase-two output: discovered schemas in enumeration order.
+    pub schemas: Vec<RankedSchema>,
+    /// Indices (into `schemas`) of the pareto-optimal schemas under
+    /// (storage savings, spurious tuples).
+    pub pareto: Vec<usize>,
+    /// `true` if either phase was truncated by a limit.
+    pub truncated: bool,
 }
 
 /// Computes the full quality report for one schema.
@@ -298,17 +291,7 @@ mod tests {
         let rel = Relation::from_rows(schema_obj, &[vec!["1", "2", "3"]]).unwrap();
         let cyclic =
             AcyclicSchema::new(vec![attrs(&[0, 1]), attrs(&[1, 2]), attrs(&[2, 0])]).unwrap();
-        assert!(spurious_tuples_pct(&rel, &cyclic).is_err());
         assert!(evaluate_schema(&rel, &cyclic).is_err());
-    }
-
-    #[test]
-    fn standalone_metrics_match_evaluate() {
-        let rel = running_example(true);
-        let schema = paper_schema();
-        let q = evaluate_schema(&rel, &schema).unwrap();
-        assert!((storage_savings_pct(&rel, &schema).unwrap() - q.storage_savings_pct).abs() < 1e-9);
-        assert!((spurious_tuples_pct(&rel, &schema).unwrap() - q.spurious_tuples_pct).abs() < 1e-9);
     }
 
     #[test]

@@ -4,10 +4,10 @@
 //! Every phase of Maimon interacts with the data only through the entropy
 //! oracle, and the oracle's PLI cache is *ε-independent*: the partitions and
 //! entropies computed while mining at one threshold answer the queries of
-//! every other threshold. The one-shot [`crate::Maimon`] facade could not
-//! exploit that — each `run()` rebuilt the oracle — so the ε-sweeps of the
-//! paper's Figures 10–15 paid the PLI construction and every shared entropy
-//! once *per threshold*. A session pays them once per relation:
+//! every other threshold. Building a fresh oracle per threshold would make
+//! the ε-sweeps of the paper's Figures 10–15 pay the PLI construction and
+//! every shared entropy once *per threshold*; a session pays them once per
+//! relation:
 //!
 //! ```text
 //! MaimonSession::new(rel, config)       // relation owned; oracle built once
@@ -18,7 +18,7 @@
 //!     └─ session.epsilon_sweep([ε₁, ε₂, …]) → per-ε results, shared oracle
 //! ```
 //!
-//! Results are bit-identical to fresh per-ε [`crate::Maimon::run`] calls
+//! Results are bit-identical to fresh per-ε sessions
 //! (`tests/session_equivalence.rs` locks this down across the Table 2
 //! catalog): the mining algorithms are pure functions of the oracle's
 //! answers, and the shared cache changes only *when* an entropy is computed,
@@ -76,11 +76,10 @@ use crate::asminer::{mine_schemas_with, SchemaMiningResult};
 use crate::config::MaimonConfig;
 use crate::error::MaimonError;
 use crate::fd::{mine_fds, FdMiningResult};
-use crate::maimon::{MaimonResult, RankedSchema};
 use crate::measure::{j_mvd, within_epsilon};
 use crate::miner::{mine_mvds_with, MvdMiningResult};
 use crate::progress::{CancelToken, ProgressSink, RunControl};
-use crate::quality::{evaluate_schema, pareto_front};
+use crate::quality::{evaluate_schema, pareto_front, MaimonResult, RankedSchema};
 use crate::schema::AcyclicSchema;
 use crate::wire::ToJson;
 use decompose::DecomposedInstance;
@@ -452,24 +451,6 @@ pub struct MaimonSession {
 }
 
 impl MaimonSession {
-    /// Shared input validation for the session and the [`crate::Maimon`]
-    /// shim (which delegates here so the two contracts cannot drift).
-    pub(crate) fn validate_inputs(
-        relation: &Relation,
-        config: &MaimonConfig,
-    ) -> Result<(), MaimonError> {
-        config.validate()?;
-        if relation.arity() < 2 {
-            return Err(MaimonError::InvalidConfig(
-                "schema mining needs at least two attributes".into(),
-            ));
-        }
-        if relation.is_empty() {
-            return Err(MaimonError::InvalidConfig("relation has no tuples".into()));
-        }
-        Ok(())
-    }
-
     /// Creates a session, building the shared PLI oracle exactly once.
     ///
     /// The relation is taken by *ownership*: pass a `Relation` to move it in,
@@ -477,45 +458,19 @@ impl MaimonSession {
     /// `&Relation` to deep-clone the data once. The session is `'static`
     /// either way — it outlives whatever binding produced the relation.
     ///
-    /// `config.epsilon` is only the *default* threshold (used by
-    /// [`crate::Maimon::run`] through the compatibility shim); every staged
-    /// accessor takes its threshold explicitly.
+    /// `config.epsilon` is only the *default* threshold (read by
+    /// [`MaimonSession::mine_fds`]); every staged accessor takes its
+    /// threshold explicitly.
     ///
     /// # Errors
     /// Returns an error if the configuration is invalid or the relation is
-    /// empty or has fewer than two attributes — the same contract as
-    /// [`crate::Maimon::new`].
+    /// empty or has fewer than two attributes.
     pub fn new(
         relation: impl Into<Arc<Relation>>,
         config: MaimonConfig,
     ) -> Result<Self, MaimonError> {
         let relation = relation.into();
-        Self::validate_inputs(&relation, &config)?;
-        let oracle = PliEntropyOracle::new(Arc::clone(&relation), config.entropy);
-        let construction_stats = oracle.stats();
-        let version = relation.data_version();
-        let state = VersionState {
-            backend: Arc::clone(&relation) as Arc<dyn RelationBackend>,
-            relation: Some(relation),
-            oracle,
-            version,
-            previous_version: None,
-        };
-        Ok(MaimonSession {
-            inner: Arc::new(SessionInner {
-                config,
-                state: RwLock::new(Arc::new(state)),
-                append_lock: Mutex::new(()),
-                construction_stats,
-                mvd_cache: ArtifactCache::new(),
-                schema_cache: ArtifactCache::new(),
-                result_cache: ArtifactCache::new(),
-            }),
-            cancel: None,
-            progress: None,
-            deadline: None,
-            stages: None,
-        })
+        Self::mount(Arc::clone(&relation) as Arc<dyn RelationBackend>, Some(relation), config)
     }
 
     /// Creates a session over an arbitrary storage backend (e.g. a
@@ -532,6 +487,17 @@ impl MaimonSession {
     /// [`MaimonSession::new`].
     pub fn from_backend(
         backend: Arc<dyn RelationBackend>,
+        config: MaimonConfig,
+    ) -> Result<Self, MaimonError> {
+        Self::mount(backend, None, config)
+    }
+
+    /// The one construction path: validates the inputs through the backend,
+    /// builds the oracle over it and installs the initial generation.
+    /// `relation` is the in-memory twin of `backend`, if the session owns one.
+    fn mount(
+        backend: Arc<dyn RelationBackend>,
+        relation: Option<Arc<Relation>>,
         config: MaimonConfig,
     ) -> Result<Self, MaimonError> {
         config.validate()?;
@@ -552,8 +518,7 @@ impl MaimonSession {
         }
         let construction_stats = oracle.stats();
         let version = backend.data_version();
-        let state =
-            VersionState { backend, relation: None, oracle, version, previous_version: None };
+        let state = VersionState { backend, relation, oracle, version, previous_version: None };
         Ok(MaimonSession {
             inner: Arc::new(SessionInner {
                 config,
@@ -625,13 +590,6 @@ impl MaimonSession {
     /// (`None` for sessions mounted on an out-of-core backend).
     pub fn try_relation(&self) -> Option<Arc<Relation>> {
         self.state().relation.as_ref().map(Arc::clone)
-    }
-
-    /// Shared handle to the relation being profiled (the same storage the
-    /// session's oracle reads). Alias of [`MaimonSession::relation`], kept
-    /// for call sites that predate the versioned session.
-    pub fn relation_arc(&self) -> Arc<Relation> {
-        self.relation()
     }
 
     /// The storage backend being profiled, at its current data version.
@@ -1144,7 +1102,6 @@ impl MaimonSession {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::maimon::Maimon;
     use crate::progress::CountingSink;
     use relation::Schema;
 
@@ -1167,13 +1124,18 @@ mod tests {
         let rel = running_example(true);
         let config = MaimonConfig::with_epsilon_and_threads(0.2, 1);
         let session = MaimonSession::new(&rel, config).unwrap();
-        let fresh = Maimon::new(&rel, config).unwrap().run().unwrap();
+        // The one-shot reference: a fresh session asked for one threshold.
+        let fresh = MaimonSession::new(&rel, config).unwrap().quality(0.2).unwrap();
+        session.mvds(0.2).unwrap();
+        session.schemas(0.2).unwrap();
         let staged = session.quality(0.2).unwrap();
         assert_eq!(staged.mvds.mvds, fresh.mvds.mvds);
         assert_eq!(staged.mvds.separators, fresh.mvds.separators);
         assert_eq!(staged.schemas, fresh.schemas);
         assert_eq!(staged.pareto, fresh.pareto);
         assert_eq!(staged.truncated, fresh.truncated);
+        assert!(!staged.pareto.is_empty());
+        assert!(staged.pareto.iter().all(|&i| i < staged.schemas.len()));
     }
 
     #[test]

@@ -36,10 +36,9 @@ use crate::asminer::{DiscoveredSchema, SchemaMiningResult};
 use crate::error::MaimonError;
 use crate::fd::{Fd, FdMiningResult};
 use crate::json::Json;
-use crate::maimon::{MaimonResult, RankedSchema};
 use crate::miner::{MiningStats, MvdMiningResult};
 use crate::mvd::Mvd;
-use crate::quality::SchemaQuality;
+use crate::quality::{MaimonResult, RankedSchema, SchemaQuality};
 use crate::schema::AcyclicSchema;
 use entropy::OracleStats;
 use obs::{Stage, StageBreakdown};

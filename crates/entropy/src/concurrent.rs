@@ -24,7 +24,7 @@ use relation::{AttrSet, FoldKeyHasher};
 use std::collections::HashMap;
 use std::hash::BuildHasherDefault;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Number of shards. A power of two so the Fibonacci-hash shard index is a
 /// simple shift; 64 keeps contention negligible for the worker counts the
@@ -68,19 +68,22 @@ impl<V: Clone> ShardedCache<V> {
         }
     }
 
-    fn shard(&self, attrs: AttrSet) -> &Mutex<AttrSetMap<V>> {
-        &self.shards[shard_index(attrs)]
+    /// Locks the shard holding `attrs`. A poisoned shard is still sound: the
+    /// map is only mutated by single `insert`s, never while a `compute`
+    /// closure runs, so a panic cannot leave it half-updated.
+    fn lock_shard(&self, attrs: AttrSet) -> MutexGuard<'_, AttrSetMap<V>> {
+        self.shards[shard_index(attrs)].lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Returns a clone of the cached value, if present.
     pub fn get(&self, attrs: AttrSet) -> Option<V> {
-        self.shard(attrs).lock().expect("cache shard poisoned").get(&attrs).cloned()
+        self.lock_shard(attrs).get(&attrs).cloned()
     }
 
     /// Inserts unconditionally (last writer wins; values for the same key are
     /// always equal in this crate, so the race is benign).
     pub fn insert(&self, attrs: AttrSet, value: V) {
-        self.shard(attrs).lock().expect("cache shard poisoned").insert(attrs, value);
+        self.lock_shard(attrs).insert(attrs, value);
     }
 
     /// Inserts `value` only while `count` is below `max`, reserving a budget
@@ -94,7 +97,7 @@ impl<V: Clone> ShardedCache<V> {
         count: &AtomicUsize,
         max: usize,
     ) -> bool {
-        let mut shard = self.shard(attrs).lock().expect("cache shard poisoned");
+        let mut shard = self.lock_shard(attrs);
         if shard.contains_key(&attrs) {
             return false;
         }
@@ -114,7 +117,7 @@ impl<V: Clone> ShardedCache<V> {
     /// attribute set therefore perform the underlying computation exactly
     /// once, matching a sequential run's work counters.
     pub fn get_or_insert_with(&self, attrs: AttrSet, compute: impl FnOnce() -> V) -> (V, bool) {
-        let mut shard = self.shard(attrs).lock().expect("cache shard poisoned");
+        let mut shard = self.lock_shard(attrs);
         if let Some(value) = shard.get(&attrs) {
             return (value.clone(), true);
         }
@@ -126,7 +129,7 @@ impl<V: Clone> ShardedCache<V> {
     /// Total number of cached entries (sums the shard sizes; callers use this
     /// for reporting, not for budget decisions — see [`Self::insert_bounded`]).
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().expect("cache shard poisoned").len()).sum()
+        self.shards.iter().map(|s| s.lock().unwrap_or_else(PoisonError::into_inner).len()).sum()
     }
 
     /// Snapshots every cached entry (shard by shard, so the result is not an
@@ -135,7 +138,7 @@ impl<V: Clone> ShardedCache<V> {
     pub fn entries(&self) -> Vec<(AttrSet, V)> {
         let mut out = Vec::new();
         for shard in &self.shards {
-            let shard = shard.lock().expect("cache shard poisoned");
+            let shard = shard.lock().unwrap_or_else(PoisonError::into_inner);
             out.extend(shard.iter().map(|(&k, v)| (k, v.clone())));
         }
         out
@@ -303,6 +306,23 @@ mod tests {
             cache.insert_bounded(AttrSet::from_bits(7), 0, &count, 10);
         }
         assert_eq!(count.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn a_panicking_compute_leaves_the_key_computable() {
+        let cache: ShardedCache<u32> = ShardedCache::new();
+        let key = AttrSet::from_bits(0b1011);
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            cache.get_or_insert_with(key, || panic!("compute failed"))
+        }));
+        assert!(outcome.is_err());
+        // The panic poisoned the key's shard; the next lookup still computes
+        // and caches, and later lookups hit.
+        assert_eq!(cache.get_or_insert_with(key, || 7), (7, false));
+        assert_eq!(cache.get_or_insert_with(key, || 8), (7, true));
+        assert_eq!(cache.get(key), Some(7));
+        assert_eq!(cache.len(), 1);
+        assert_eq!(cache.entries(), vec![(key, 7)]);
     }
 
     #[test]

@@ -101,18 +101,18 @@ pub trait EntropyOracle: Sync {
 /// Computes entropy in bits from a multiset of group sizes and the total row
 /// count: `log₂ N − (1/N)·Σ s·log₂ s`.
 pub fn entropy_from_group_sizes(group_sizes: &[usize], n_rows: usize) -> f64 {
+    shannon_entropy(n_rows, group_sizes.iter().filter(|&&s| s > 1).map(|&s| s as f64))
+}
+
+/// Eq. (5): `log₂ N − (1/N)·Σ s·log₂ s` over the given group sizes (0 for an
+/// empty relation). The sum runs in the caller's order, so callers that feed
+/// sizes in canonical cluster order agree bit-for-bit.
+pub(crate) fn shannon_entropy(n_rows: usize, group_sizes: impl Iterator<Item = f64>) -> f64 {
     if n_rows == 0 {
         return 0.0;
     }
     let n = n_rows as f64;
-    let sum: f64 = group_sizes
-        .iter()
-        .filter(|&&s| s > 1)
-        .map(|&s| {
-            let s = s as f64;
-            s * s.log2()
-        })
-        .sum();
+    let sum: f64 = group_sizes.map(|s| s * s.log2()).sum();
     n.log2() - sum / n
 }
 

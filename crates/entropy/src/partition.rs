@@ -47,6 +47,7 @@
 //! [`Pli::intersect`] remains as a convenience wrapper that allocates a
 //! fresh scratch per call.
 
+use crate::oracle::shannon_entropy;
 use relation::{AttrSet, FoldKeyMap, KeyFold, Relation};
 use std::collections::HashMap;
 use storage::{RelationBackend, StorageError};
@@ -197,7 +198,9 @@ impl Pli {
     /// Delta-maintains this partition across an append: given that `new` is
     /// `old` plus a batch of appended rows (and `self` is the partition of
     /// `attrs` over `old`), builds the partition of `attrs` over `new`
-    /// without regrouping the old rows. Batch rows are scattered into the
+    /// without regrouping the old rows. Of `old` only the row count and the
+    /// column cardinalities are read, so any backend can stand for the
+    /// pre-append generation. Batch rows are scattered into the
     /// existing CSR clusters they extend, promote old singletons into fresh
     /// clusters when they match one, or open batch-only clusters.
     ///
@@ -213,7 +216,12 @@ impl Pli {
     /// # Panics
     /// Panics if `self` is not a partition over `old` (row-count mismatch)
     /// or `new` has fewer rows than `old`.
-    pub fn extended(&self, old: &Relation, new: &Relation, attrs: AttrSet) -> Option<Pli> {
+    pub fn extended(
+        &self,
+        old: &dyn RelationBackend,
+        new: &Relation,
+        attrs: AttrSet,
+    ) -> Option<Pli> {
         let old_n = old.n_rows();
         let new_n = new.n_rows();
         assert_eq!(self.n_rows, old_n, "partition must belong to the pre-append relation");
@@ -222,6 +230,10 @@ impl Pli {
             return Some(self.clone());
         }
         let fold = new.key_fold(attrs)?;
+        // Pre-append cardinalities per attribute: a code at or above one is
+        // new in the batch.
+        let old_cards: Vec<(usize, usize)> =
+            attrs.iter().map(|c| (c, old.column_cardinality(c))).collect();
         // Key every existing cluster by its first row under the *new* fold;
         // distinct clusters disagree on some attribute, so keys are unique.
         let mut by_key: FoldKeyMap<u32> =
@@ -255,9 +267,7 @@ impl Pli {
                     // attribute cannot equal any old row, so only groups whose
                     // codes all pre-date the append can absorb an old singleton.
                     let maybe_old = cluster.is_none()
-                        && attrs
-                            .iter()
-                            .all(|c| (new.code(r, c) as usize) < old.column_cardinality(c));
+                        && old_cards.iter().all(|&(c, card)| (new.code(r, c) as usize) < card);
                     scan_singletons |= maybe_old;
                     let gi = groups.len() as u32;
                     groups.push(BatchGroup {
@@ -402,19 +412,7 @@ impl Pli {
     /// Summation runs in canonical cluster order, so the value is
     /// bit-identical however the partition was built.
     pub fn entropy(&self) -> f64 {
-        if self.n_rows == 0 {
-            return 0.0;
-        }
-        let n = self.n_rows as f64;
-        let sum: f64 = self
-            .offsets
-            .windows(2)
-            .map(|w| {
-                let s = (w[1] - w[0]) as f64;
-                s * s.log2()
-            })
-            .sum();
-        n.log2() - sum / n
+        shannon_entropy(self.n_rows, self.offsets.windows(2).map(|w| f64::from(w[1] - w[0])))
     }
 
     /// Intersects this partition with another (computing the partition of
@@ -655,19 +653,7 @@ impl GroupSizes<'_> {
     /// Entropy per Eq. (5), summed in canonical cluster order — bit-identical
     /// to [`Pli::entropy`] on the partition [`Pli::intersect_with`] builds.
     pub fn entropy(&self) -> f64 {
-        if self.n_rows == 0 {
-            return 0.0;
-        }
-        let n = self.n_rows as f64;
-        let sum: f64 = self
-            .sizes
-            .iter()
-            .map(|&s| {
-                let s = s as f64;
-                s * s.log2()
-            })
-            .sum();
-        n.log2() - sum / n
+        shannon_entropy(self.n_rows, self.sizes.iter().map(|&s| f64::from(s)))
     }
 }
 

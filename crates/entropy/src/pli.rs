@@ -87,23 +87,17 @@ impl EntropyConfig {
 
 /// Entropy oracle backed by cached stripped partitions (the §6.3 engine).
 ///
-/// The oracle *owns* its storage as an `Arc<dyn RelationBackend>`, so it is
-/// `'static` and `Send + Sync`: a long-lived session (or server) can hold it
-/// after the binding that loaded the relation is gone. [`PliEntropyOracle::new`]
-/// takes the in-memory store (`&Relation` arguments still work — they
-/// deep-clone the data once at construction — while `Relation` /
-/// `Arc<Relation>` arguments move or share storage);
+/// The oracle *owns* its storage as one `Arc<dyn RelationBackend>` handle,
+/// so it is `'static` and `Send + Sync`: a long-lived session (or server) can
+/// hold it after the binding that loaded the relation is gone.
 /// [`PliEntropyOracle::from_backend`] accepts any backend, e.g. a paged
-/// out-of-core column store. All partition construction goes through chunked
-/// scans, so entropies are bit-identical across backends; only the
-/// append-delta path ([`PliEntropyOracle::extend_to`]) needs the random row
-/// access of the in-memory store.
+/// out-of-core column store; [`PliEntropyOracle::new`] is a shorthand for the
+/// in-memory store (`&Relation` arguments still work — they deep-clone the
+/// data once at construction — while `Relation` / `Arc<Relation>` arguments
+/// move or share storage). All partition construction goes through chunked
+/// scans, so entropies are bit-identical across backends.
 pub struct PliEntropyOracle {
     source: Arc<dyn RelationBackend>,
-    /// The in-memory twin when the oracle was built from one — required by
-    /// [`PliEntropyOracle::extend_to`] and [`PliEntropyOracle::relation`],
-    /// `None` for out-of-core backends.
-    rel: Option<Arc<Relation>>,
     singles: Vec<Arc<Pli>>,
     pli_cache: ShardedCache<Arc<Pli>>,
     /// Number of entries in `pli_cache`, tracked atomically so the
@@ -143,28 +137,16 @@ fn unwrap_or_trivial(
 }
 
 impl PliEntropyOracle {
-    /// Creates the oracle over the in-memory store, building single-attribute
-    /// partitions and (if configured) the per-block subset precomputation.
+    /// Creates the oracle over the in-memory store; see
+    /// [`PliEntropyOracle::from_backend`].
     pub fn new(rel: impl Into<Arc<Relation>>, config: EntropyConfig) -> Self {
-        let rel = rel.into();
-        Self::build(Arc::clone(&rel) as Arc<dyn RelationBackend>, Some(rel), config)
+        Self::from_backend(rel.into(), config)
     }
 
-    /// Creates the oracle over an arbitrary storage backend (e.g. a
-    /// [`storage::PagedColumnarRelation`]). Identical to
-    /// [`PliEntropyOracle::new`] except that the append-delta path
-    /// ([`PliEntropyOracle::extend_to`]) and [`PliEntropyOracle::relation`]
-    /// are unavailable — they need random row access only the in-memory
-    /// store provides.
+    /// Creates the oracle over a storage backend (e.g. a
+    /// [`storage::PagedColumnarRelation`]), building single-attribute
+    /// partitions and (if configured) the per-block subset precomputation.
     pub fn from_backend(source: Arc<dyn RelationBackend>, config: EntropyConfig) -> Self {
-        Self::build(source, None, config)
-    }
-
-    fn build(
-        source: Arc<dyn RelationBackend>,
-        rel: Option<Arc<Relation>>,
-        config: EntropyConfig,
-    ) -> Self {
         let storage_fault: OnceLock<Arc<StorageError>> = OnceLock::new();
         let n_rows = source.n_rows();
         let singles: Vec<Arc<Pli>> = (0..source.arity())
@@ -174,7 +156,6 @@ impl PliEntropyOracle {
             .collect();
         let oracle = PliEntropyOracle {
             source,
-            rel,
             singles,
             pli_cache: ShardedCache::new(),
             pli_count: AtomicUsize::new(0),
@@ -208,8 +189,9 @@ impl PliEntropyOracle {
     }
 
     /// Builds the successor oracle after an append. `new_rel` must be this
-    /// oracle's relation plus a batch of appended rows (same schema, same
-    /// row prefix — the contract [`Relation::append_rows`] guarantees).
+    /// oracle's data plus a batch of appended rows (same schema, same row
+    /// prefix, no renumbered dictionary codes — the contract
+    /// [`Relation::append_rows`] guarantees).
     ///
     /// Every cached partition — the single-attribute partitions and every
     /// composite in the partition cache — is carried across the append by
@@ -228,13 +210,9 @@ impl PliEntropyOracle {
     /// `full_rebuilds` split observable over a session's lifetime.
     ///
     /// # Panics
-    /// Panics if `new_rel` has a different arity or fewer rows, or if this
-    /// oracle was built over an out-of-core backend
-    /// ([`PliEntropyOracle::from_backend`]) — the delta path keys rows by
-    /// random access, which only the in-memory store supports.
+    /// Panics if `new_rel` has a different arity or fewer rows.
     pub fn extend_to(&self, new_rel: impl Into<Arc<Relation>>) -> PliEntropyOracle {
-        let old =
-            self.rel.as_ref().expect("extend_to requires an oracle built over the in-memory store");
+        let old = &*self.source;
         let new_rel = new_rel.into();
         assert_eq!(new_rel.arity(), old.arity(), "append cannot change the schema");
         assert!(new_rel.n_rows() >= old.n_rows(), "extend_to() only handles appends");
@@ -280,8 +258,7 @@ impl PliEntropyOracle {
             pli_cache.insert_bounded(attrs, refreshed, &pli_count, self.config.max_cached_plis);
         }
         PliEntropyOracle {
-            source: Arc::clone(&new_rel) as Arc<dyn RelationBackend>,
-            rel: Some(new_rel),
+            source: new_rel,
             singles,
             pli_cache,
             pli_count,
@@ -300,30 +277,6 @@ impl PliEntropyOracle {
     /// garbage.
     pub fn storage_fault(&self) -> Option<Arc<StorageError>> {
         self.storage_fault.get().cloned()
-    }
-
-    /// The underlying in-memory relation.
-    ///
-    /// # Panics
-    /// Panics for oracles built over an out-of-core backend; use
-    /// [`PliEntropyOracle::try_relation`] or [`PliEntropyOracle::source`]
-    /// when the backend kind is not statically known.
-    pub fn relation(&self) -> &Relation {
-        self.rel.as_ref().expect("oracle was built over an out-of-core backend")
-    }
-
-    /// Shared handle to the underlying in-memory relation, if the oracle was
-    /// built over one.
-    pub fn try_relation(&self) -> Option<&Arc<Relation>> {
-        self.rel.as_ref()
-    }
-
-    /// Shared handle to the underlying in-memory relation.
-    ///
-    /// # Panics
-    /// Panics for oracles built over an out-of-core backend.
-    pub fn relation_arc(&self) -> Arc<Relation> {
-        Arc::clone(self.rel.as_ref().expect("oracle was built over an out-of-core backend"))
     }
 
     /// The storage backend this oracle reads from.

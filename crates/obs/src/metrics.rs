@@ -9,7 +9,7 @@ use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 
 /// Number of histogram buckets, including the final `+Inf` overflow bucket.
@@ -253,7 +253,7 @@ impl MetricsRegistry {
 
     /// Registers help text for a metric name (first writer wins).
     pub fn describe(&self, name: &'static str, help: &'static str) {
-        self.help.lock().expect("metrics help lock").entry(name).or_insert(help);
+        self.help.lock().unwrap_or_else(PoisonError::into_inner).entry(name).or_insert(help);
     }
 
     fn register<T>(
@@ -266,7 +266,9 @@ impl MetricsRegistry {
     ) -> Arc<T> {
         let labels: Vec<(&'static str, String)> =
             labels.iter().map(|(k, v)| (*k, (*v).to_string())).collect();
-        let mut shard = self.shard(name, &labels).lock().expect("metrics shard lock");
+        // Recover a poisoned shard: the map only changes by whole-entry
+        // inserts, so a panic (such as the kind clash below) leaves it sound.
+        let mut shard = self.shard(name, &labels).lock().unwrap_or_else(PoisonError::into_inner);
         let metric = shard.entry((name, labels)).or_insert_with(|| wrap(Arc::new(make())));
         unwrap(metric).unwrap_or_else(|| {
             panic!("metric {name:?} registered twice with different kinds");
@@ -318,10 +320,10 @@ impl MetricsRegistry {
     /// Reads every registered metric, sorted by name then labels, so
     /// renderers produce deterministic output.
     pub fn snapshot(&self) -> Vec<MetricSnapshot> {
-        let help = self.help.lock().expect("metrics help lock");
+        let help = self.help.lock().unwrap_or_else(PoisonError::into_inner);
         let mut out = Vec::new();
         for shard in &self.shards {
-            let shard = shard.lock().expect("metrics shard lock");
+            let shard = shard.lock().unwrap_or_else(PoisonError::into_inner);
             for ((name, labels), metric) in shard.iter() {
                 let value = match metric {
                     Metric::Counter(c) => MetricValue::Counter(c.get()),
@@ -385,6 +387,19 @@ mod tests {
         assert_eq!(Histogram::bucket_upper_bound(1), Some(1));
         assert_eq!(Histogram::bucket_upper_bound(3), Some(7));
         assert_eq!(Histogram::bucket_upper_bound(HISTOGRAM_BUCKETS - 1), None);
+    }
+
+    #[test]
+    fn a_kind_clash_panic_leaves_the_registry_usable() {
+        let registry = MetricsRegistry::new();
+        registry.counter("clash", &[]).inc();
+        // Panics while holding the name's shard lock, poisoning it.
+        let clash = std::panic::catch_unwind(|| registry.histogram("clash", &[]));
+        assert!(clash.is_err());
+        registry.counter("clash", &[]).inc();
+        let snaps = registry.snapshot();
+        assert_eq!(snaps.len(), 1);
+        assert_eq!(snaps[0].value, MetricValue::Counter(2));
     }
 
     #[test]

@@ -16,7 +16,7 @@
 use maimon::obs;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Knobs of the admission controller.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -60,6 +60,9 @@ pub struct TenantAdmissionStats {
 #[derive(Debug, Default)]
 pub struct AdmissionController {
     config: AdmissionConfig,
+    // Both maps change only by single-entry updates, so a lock poisoned by a
+    // panicking holder still guards whole counts and is recovered, not
+    // propagated (a permit's `Drop` must never panic).
     in_flight: Mutex<HashMap<String, usize>>,
     per_tenant: Mutex<HashMap<String, TenantAdmissionStats>>,
     admitted: AtomicU64,
@@ -77,7 +80,8 @@ pub struct AdmissionPermit {
 
 impl Drop for AdmissionPermit {
     fn drop(&mut self) {
-        let mut in_flight = self.controller.in_flight.lock().expect("admission lock poisoned");
+        let mut in_flight =
+            self.controller.in_flight.lock().unwrap_or_else(PoisonError::into_inner);
         match in_flight.get_mut(&self.tenant) {
             Some(n) if *n > 1 => *n -= 1,
             _ => {
@@ -103,7 +107,7 @@ impl AdmissionController {
     /// `overloaded` and count the shed.
     pub fn try_admit(self: &Arc<Self>, tenant: &str) -> Option<AdmissionPermit> {
         {
-            let mut in_flight = self.in_flight.lock().expect("admission lock poisoned");
+            let mut in_flight = self.in_flight.lock().unwrap_or_else(PoisonError::into_inner);
             let slot = in_flight.entry(tenant.to_string()).or_insert(0);
             if *slot >= self.config.max_in_flight_per_tenant {
                 drop(in_flight);
@@ -141,20 +145,25 @@ impl AdmissionController {
     }
 
     fn tenant_entry(&self, tenant: &str, update: impl FnOnce(&mut TenantAdmissionStats)) {
-        let mut per_tenant = self.per_tenant.lock().expect("admission lock poisoned");
+        let mut per_tenant = self.per_tenant.lock().unwrap_or_else(PoisonError::into_inner);
         update(per_tenant.entry(tenant.to_string()).or_default());
     }
 
     /// Current in-flight count for a tenant (0 when idle).
     pub fn in_flight(&self, tenant: &str) -> usize {
-        self.in_flight.lock().expect("admission lock poisoned").get(tenant).copied().unwrap_or(0)
+        self.in_flight
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get(tenant)
+            .copied()
+            .unwrap_or(0)
     }
 
     /// Per-tenant admission/shed attribution, sorted by tenant label.
     /// Covers every tenant that ever issued a mining request (in-flight maps
     /// forget idle tenants; these counters do not).
     pub fn tenant_stats(&self) -> Vec<(String, TenantAdmissionStats)> {
-        let per_tenant = self.per_tenant.lock().expect("admission lock poisoned");
+        let per_tenant = self.per_tenant.lock().unwrap_or_else(PoisonError::into_inner);
         let mut entries: Vec<(String, TenantAdmissionStats)> =
             per_tenant.iter().map(|(name, stats)| (name.clone(), *stats)).collect();
         entries.sort_by(|a, b| a.0.cmp(&b.0));
@@ -209,6 +218,33 @@ mod tests {
                 ("alice".to_string(), TenantAdmissionStats { admitted: 3, shed_tenant_cap: 1 }),
                 ("bob".to_string(), TenantAdmissionStats { admitted: 1, shed_tenant_cap: 0 }),
             ]
+        );
+    }
+
+    #[test]
+    fn a_poisoned_lock_still_admits_and_reports() {
+        let ctl = Arc::new(AdmissionController::new(AdmissionConfig {
+            max_in_flight_per_tenant: 1,
+            max_queue_depth: 8,
+        }));
+        // A thread dies holding both maps' locks; the counts in them are
+        // whole, so admission carries on with them.
+        let _ = std::panic::catch_unwind(|| {
+            let _in_flight = ctl.in_flight.lock().unwrap();
+            let _per_tenant = ctl.per_tenant.lock().unwrap();
+            panic!("thread died holding the admission locks");
+        });
+        assert!(ctl.in_flight.is_poisoned() && ctl.per_tenant.is_poisoned());
+        let permit = ctl.try_admit("t").expect("a poisoned lock must not refuse admission");
+        assert!(ctl.try_admit("t").is_none(), "the tenant cap still holds");
+        assert_eq!(ctl.in_flight("t"), 1);
+        drop(permit);
+        assert_eq!(ctl.in_flight("t"), 0);
+        let stats = ctl.stats();
+        assert_eq!((stats.admitted, stats.shed_tenant_cap), (1, 1));
+        assert_eq!(
+            ctl.tenant_stats(),
+            vec![("t".to_string(), TenantAdmissionStats { admitted: 1, shed_tenant_cap: 1 })]
         );
     }
 

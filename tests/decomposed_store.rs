@@ -15,7 +15,8 @@
 use maimon::decompose::{flat_scan, Query};
 use maimon::relation::{acyclic_join_size, AttrSet, Relation};
 use maimon::{
-    evaluate_schema, evaluate_schema_checked, AcyclicSchema, Maimon, MaimonConfig, MiningLimits,
+    evaluate_schema, evaluate_schema_checked, AcyclicSchema, MaimonConfig, MaimonSession,
+    MiningLimits,
 };
 use maimon_datasets::{
     metanome_catalog, nursery_with_rows, running_example, running_example_with_red_tuple,
@@ -29,8 +30,11 @@ fn mined_schemas(rel: &Relation, epsilon: f64) -> Vec<AcyclicSchema> {
         .max_schemas(Some(32))
         .build()
         .unwrap();
-    let result = Maimon::new(rel, config).expect("valid relation").run().expect("mining runs");
-    result.schemas.into_iter().map(|s| s.discovered.schema).collect()
+    let result = MaimonSession::new(rel, config)
+        .expect("valid relation")
+        .quality(config.epsilon)
+        .expect("mining runs");
+    result.schemas.iter().map(|s| s.discovered.schema.clone()).collect()
 }
 
 /// The acceptance invariants of one (relation, schema) pair.

@@ -4,7 +4,7 @@
 use maimon::entropy::{EntropyOracle, NaiveEntropyOracle, PliEntropyOracle};
 use maimon::relation::AttrSet;
 use maimon::{
-    j_schema, mvd_holds, schema_holds, within_epsilon, Maimon, MaimonConfig, MiningLimits,
+    j_schema, mvd_holds, schema_holds, within_epsilon, MaimonConfig, MaimonSession, MiningLimits,
 };
 use maimon_datasets::{
     dataset_by_name, nursery_with_rows, running_example, running_example_with_red_tuple,
@@ -15,7 +15,7 @@ use std::time::Duration;
 #[test]
 fn exact_pipeline_recovers_the_figure_1_decomposition() {
     let rel = running_example();
-    let result = Maimon::new(&rel, MaimonConfig::with_epsilon(0.0)).unwrap().run().unwrap();
+    let result = MaimonSession::new(&rel, MaimonConfig::default()).unwrap().quality(0.0).unwrap();
 
     // Phase 1: the support MVDs of the paper's join tree are all discovered.
     let schema = rel.schema();
@@ -49,8 +49,8 @@ fn exact_pipeline_recovers_the_figure_1_decomposition() {
 #[test]
 fn approximate_pipeline_tolerates_the_red_tuple() {
     let rel = running_example_with_red_tuple();
-    let strict = Maimon::new(&rel, MaimonConfig::with_epsilon(0.0)).unwrap().run().unwrap();
-    let relaxed = Maimon::new(&rel, MaimonConfig::with_epsilon(0.2)).unwrap().run().unwrap();
+    let strict = MaimonSession::new(&rel, MaimonConfig::default()).unwrap().quality(0.0).unwrap();
+    let relaxed = MaimonSession::new(&rel, MaimonConfig::default()).unwrap().quality(0.2).unwrap();
 
     let best = |result: &maimon::MaimonResult| {
         result.schemas.iter().map(|s| s.discovered.schema.n_relations()).max().unwrap_or(1)
@@ -76,7 +76,7 @@ fn approximate_pipeline_tolerates_the_red_tuple() {
 fn discovered_mvds_hold_under_both_oracles() {
     let rel = running_example_with_red_tuple();
     let config = MaimonConfig::with_epsilon(0.15);
-    let result = Maimon::new(&rel, config).unwrap().mine_mvds();
+    let result = MaimonSession::new(&rel, config).unwrap().mvds(config.epsilon).unwrap();
     assert!(!result.mvds.is_empty());
     let naive = NaiveEntropyOracle::new(&rel);
     let pli = PliEntropyOracle::with_defaults(&rel);
@@ -98,7 +98,7 @@ fn nursery_exact_run_finds_no_nontrivial_decomposition() {
         .time_budget(Some(Duration::from_secs(30)))
         .build()
         .unwrap();
-    let result = Maimon::new(&rel, config).unwrap().run().unwrap();
+    let result = MaimonSession::new(&rel, config).unwrap().quality(config.epsilon).unwrap();
     for ranked in &result.schemas {
         assert_eq!(
             ranked.quality.spurious_tuples_pct, 0.0,
@@ -117,7 +117,7 @@ fn nursery_approximate_run_decomposes_and_saves_storage() {
         .build()
         .unwrap();
     config.max_schemas = Some(50);
-    let result = Maimon::new(&rel, config).unwrap().run().unwrap();
+    let result = MaimonSession::new(&rel, config).unwrap().quality(config.epsilon).unwrap();
     let best = result
         .schemas
         .iter()
@@ -161,7 +161,7 @@ fn planted_schema_is_recovered_from_synthetic_data() {
         .time_budget(Some(Duration::from_secs(30)))
         .build()
         .unwrap();
-    let result = Maimon::new(&rel, config).unwrap().run().unwrap();
+    let result = MaimonSession::new(&rel, config).unwrap().quality(config.epsilon).unwrap();
     let best_relations =
         result.schemas.iter().map(|s| s.discovered.schema.n_relations()).max().unwrap_or(1);
     assert!(best_relations >= 2, "mining at ε ≥ J(planted) must decompose the relation");
@@ -182,7 +182,7 @@ fn catalog_dataset_end_to_end_smoke() {
         .build()
         .unwrap();
     config.max_schemas = Some(25);
-    let result = Maimon::new(&rel, config).unwrap().run().unwrap();
+    let result = MaimonSession::new(&rel, config).unwrap().quality(config.epsilon).unwrap();
     for ranked in &result.schemas {
         let q = &ranked.quality;
         assert!(q.spurious_tuples_pct >= 0.0);

@@ -12,7 +12,7 @@
 
 use maimon::decompose::{flat_scan, Query};
 use maimon::relation::{acyclic_join_size, AttrSet, Relation, Schema};
-use maimon::{Maimon, MaimonConfig, MiningLimits};
+use maimon::{MaimonConfig, MaimonSession, MiningLimits};
 use proptest::prelude::*;
 
 /// Strategy: a random small relation (2–6 columns, 5–60 rows, tiny per-column
@@ -52,7 +52,7 @@ proptest! {
         .max_schemas(Some(8))
         .build()
         .unwrap();
-        let result = Maimon::new(&rel, config).unwrap().run().unwrap();
+        let result = MaimonSession::new(&rel, config).unwrap().quality(config.epsilon).unwrap();
         let original = rel.distinct_count(rel.schema().all_attrs()).unwrap() as u128;
         for ranked in result.schemas.iter().take(4) {
             let schema = &ranked.discovered.schema;
@@ -95,7 +95,7 @@ proptest! {
         .max_schemas(Some(8))
         .build()
         .unwrap();
-        let result = Maimon::new(&rel, config).unwrap().run().unwrap();
+        let result = MaimonSession::new(&rel, config).unwrap().quality(config.epsilon).unwrap();
         let distinct = rel.distinct();
         for ranked in result.schemas.iter().take(4) {
             let store = ranked.discovered.schema.decompose(&rel).unwrap();
@@ -120,7 +120,7 @@ proptest! {
         .max_schemas(Some(4))
         .build()
         .unwrap();
-        let result = Maimon::new(&rel, config).unwrap().run().unwrap();
+        let result = MaimonSession::new(&rel, config).unwrap().quality(config.epsilon).unwrap();
         let n = rel.arity();
         let (p0, p1, p2) = pick;
         for ranked in result.schemas.iter().take(2) {

@@ -1,7 +1,7 @@
 //! Session ↔ one-shot equivalence suite.
 //!
 //! A [`MaimonSession`] ε-sweep must be a pure *performance* change over
-//! fresh per-ε [`Maimon::run`] calls: for every threshold the mined `M_ε`,
+//! fresh per-ε sessions: for every threshold the mined `M_ε`,
 //! the per-pair separator map, the deterministic mining counters, the ranked
 //! schemas (including every quality metric) and the pareto front must be
 //! **bit-identical** — while the PLI oracle is constructed exactly once per
@@ -15,9 +15,7 @@
 
 use maimon::entropy::{EntropyOracle, PliEntropyOracle};
 use maimon::relation::Relation;
-use maimon::{
-    mine_mvds, mine_schemas, Maimon, MaimonConfig, MaimonResult, MaimonSession, MiningLimits,
-};
+use maimon::{mine_mvds, mine_schemas, MaimonConfig, MaimonResult, MaimonSession, MiningLimits};
 use maimon_datasets::{metanome_catalog, running_example, running_example_with_red_tuple};
 use std::sync::Arc;
 
@@ -61,7 +59,7 @@ fn assert_point_matches_fresh(point: &MaimonResult, fresh: &MaimonResult, label:
 }
 
 /// Runs a session sweep and checks every point against a fresh per-ε
-/// `Maimon::run`, then proves via `OracleStats` that the session built its
+/// session, then proves via `OracleStats` that the session built its
 /// PLI oracle exactly once for the whole sweep.
 fn assert_sweep_equivalent(
     rel: &Relation,
@@ -96,7 +94,8 @@ fn assert_sweep_equivalent(
     }
     for point in &sweep {
         let fresh_config = config.to_builder().epsilon(point.epsilon).build().unwrap();
-        let fresh = Maimon::new(rel, fresh_config).unwrap().run().unwrap();
+        let fresh =
+            MaimonSession::new(rel, fresh_config).unwrap().quality(fresh_config.epsilon).unwrap();
         assert_point_matches_fresh(
             &point.result,
             &fresh,

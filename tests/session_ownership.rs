@@ -66,7 +66,7 @@ fn clones_share_oracle_and_artifact_caches() {
     let clone = session.clone();
 
     // Same relation storage, not a copy.
-    assert!(Arc::ptr_eq(&session.relation_arc(), &clone.relation_arc()));
+    assert!(Arc::ptr_eq(&session.relation(), &clone.relation()));
 
     // Mining through the clone fills the shared cache…
     let mined_via_clone = clone.mvds(0.0).unwrap();
